@@ -53,22 +53,53 @@ type Result struct {
 // seidelSeed fixes the constraint shuffle, making Solve deterministic.
 const seidelSeed = 0x5eed
 
+// maxTabledOrder is the largest constraint count whose shuffled order is
+// served from the precomputed table; larger systems shuffle per call.
+const maxTabledOrder = 64
+
+// tabledOrders[n] is the insertion order Solve uses for n constraints: the
+// identity permutation shuffled by a generator freshly seeded with
+// seidelSeed. The seed is a constant, so the order is a pure function of n;
+// the table is built once and only read afterwards.
+var tabledOrders = sync.OnceValue(func() [][]int {
+	table := make([][]int, maxTabledOrder+1)
+	for n := range table {
+		table[n] = seidelOrder(rand.New(rand.NewSource(seidelSeed)), make([]int, n))
+	}
+	return table
+})
+
+// seidelOrder fills order with the identity permutation shuffled by rng.
+func seidelOrder(rng *rand.Rand, order []int) []int {
+	for i := range order {
+		order[i] = i
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
+// constraintOrder returns the insertion order for n constraints: a shared
+// read-only table entry for small n, otherwise a scratch-slab permutation
+// drawn from a freshly seeded generator.
+func (s *scratch) constraintOrder(n int) []int {
+	if n <= maxTabledOrder {
+		return tabledOrders()[n]
+	}
+	return seidelOrder(rand.New(rand.NewSource(seidelSeed)), s.intsN(n))
+}
+
 // scratch is the per-solve working storage: a bump-allocated float/int/
-// constraint slab every temporary of the Seidel recursion draws from, plus
-// a reusable seeded generator for the deterministic shuffle. One Solve is
-// one bump epoch — nothing is freed mid-recursion, and the slabs reset
-// wholesale when the solve returns to the pool. Only Result.X escapes, as
-// a fresh copy.
+// constraint slab every temporary of the Seidel recursion draws from. One
+// Solve is one bump epoch — nothing is freed mid-recursion, and the slabs
+// reset wholesale when the solve returns to the pool. Only Result.X
+// escapes, as a fresh copy.
 type scratch struct {
-	rng  *rand.Rand
 	f64  []float64
 	ints []int
 	cons []Constraint
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{rng: rand.New(rand.NewSource(seidelSeed))}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // floats bump-allocates n zeroed float64s. When the current slab is
 // exhausted a fresh one replaces it; earlier allocations stay alive through
@@ -150,17 +181,11 @@ func Solve(obj []float64, cons []Constraint, lo, hi []float64) Result {
 	}()
 	// Deterministic shuffle: Seidel's expected running time depends on a
 	// random insertion order, but any fixed pseudo-random order works in
-	// practice for the small systems we solve. Reseeding the pooled
-	// generator reproduces the exact order a fresh one would draw.
-	order := s.intsN(len(cons))
-	for i := range order {
-		order[i] = i
-	}
-	s.rng.Seed(seidelSeed)
-	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
+	// practice for the small systems we solve. The order is the one a
+	// generator freshly seeded with seidelSeed draws, so it depends only on
+	// len(cons) and small systems read it from a shared table.
 	shuffled := s.consN(len(cons))
-	for _, idx := range order {
+	for _, idx := range s.constraintOrder(len(cons)) {
 		shuffled = append(shuffled, cons[idx])
 	}
 	x, ok := seidel(obj, shuffled, lo, hi, s)

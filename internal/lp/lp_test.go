@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -238,5 +239,102 @@ func TestQuickMinMaxBracket(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConstraintOrderMatchesFreshGenerator: for every constraint count, on
+// both sides of the table cap, the insertion order Solve uses is exactly the
+// identity shuffled by a generator freshly seeded with seidelSeed — the
+// order every earlier version of the solver drew, so LP results (and every
+// arrangement built on them) stay bit-identical. The second pass reuses the
+// scratch and the built table.
+func TestConstraintOrderMatchesFreshGenerator(t *testing.T) {
+	s := new(scratch)
+	for pass := 0; pass < 2; pass++ {
+		for n := 0; n <= maxTabledOrder+8; n++ {
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			rng := rand.New(rand.NewSource(seidelSeed))
+			rng.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			got := s.constraintOrder(n)
+			if len(got) != n {
+				t.Fatalf("pass %d n=%d: order has %d entries", pass, n, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("pass %d n=%d: order %v, want %v", pass, n, got, want)
+				}
+			}
+			s.reset()
+		}
+	}
+}
+
+// TestSolveConcurrent: goroutines solving in parallel — sharing the order
+// table and the scratch pool — must get bit-identical results to a
+// sequential pass. Run with -race to check the sharing.
+func TestSolveConcurrent(t *testing.T) {
+	type system struct {
+		obj, lo, hi []float64
+		cons        []Constraint
+	}
+	rng := rand.New(rand.NewSource(31))
+	systems := make([]system, 120)
+	for i := range systems {
+		dim := 1 + rng.Intn(4)
+		p := make([]float64, dim)
+		sys := system{obj: make([]float64, dim), lo: make([]float64, dim), hi: make([]float64, dim)}
+		for j := range p {
+			p[j] = rng.Float64()
+			sys.obj[j] = rng.NormFloat64()
+			sys.hi[j] = 1
+		}
+		// Counts straddle the table cap so both order paths run.
+		for c := rng.Intn(maxTabledOrder + 24); c > 0; c-- {
+			a := make([]float64, dim)
+			v := 0.0
+			for j := range a {
+				a[j] = rng.NormFloat64()
+				v += a[j] * p[j]
+			}
+			sys.cons = append(sys.cons, Constraint{A: a, B: v + rng.Float64()})
+		}
+		systems[i] = sys
+	}
+	want := make([]Result, len(systems))
+	for i, sys := range systems {
+		want[i] = Solve(sys.obj, sys.cons, sys.lo, sys.hi)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for k := range systems {
+					i := (k*7 + w*13 + r) % len(systems)
+					sys := systems[i]
+					got := Solve(sys.obj, sys.cons, sys.lo, sys.hi)
+					if got.Feasible != want[i].Feasible || got.Value != want[i].Value || len(got.X) != len(want[i].X) {
+						errs <- "result differs from the sequential solve"
+						return
+					}
+					for j := range got.X {
+						if got.X[j] != want[i].X[j] {
+							errs <- "optimum differs from the sequential solve"
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -1,8 +1,13 @@
 package mac
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"roadsocial/internal/geom"
 )
 
 // TestDeterminism: repeated runs of either algorithm on the same input must
@@ -50,6 +55,72 @@ func TestDeterminism(t *testing.T) {
 			if !communityEq(res.Cells[i].NCMAC(), lfirst.Cells[i].NCMAC()) {
 				t.Fatalf("LS run %d cell %d differs", run, i)
 			}
+		}
+	}
+}
+
+// resultDigest hashes a global-search result: the cell count, then per cell
+// the witness coordinates' bit patterns and every ranked community.
+func resultDigest(res *Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		for i := range b {
+			b[i] = byte(x >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	put(uint64(len(res.Cells)))
+	for _, c := range res.Cells {
+		w := c.Cell.Witness()
+		put(uint64(len(w)))
+		for _, x := range w {
+			put(math.Float64bits(x))
+		}
+		put(uint64(len(c.Ranked)))
+		for _, com := range c.Ranked {
+			put(uint64(len(com)))
+			for _, v := range com {
+				put(uint64(v))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestGoldenWideRegion pins the full output of one wide-region global
+// search (more than a thousand arrangement cells) to a recorded digest and
+// effort counters. Optimisations of the per-cell kernels (LP solves, the
+// deletion cascade and its connectivity check) must leave every witness,
+// every ranked community and every counter bit-identical, at any
+// parallelism.
+func TestGoldenWideRegion(t *testing.T) {
+	const wantDigest = 0x5d1c7cb5bfee152d
+	wantStats := Stats{KTCoreSize: 35, KTCoreEdges: 162, DomGraphArcs: 107,
+		Partitions: 1095, Hyperplanes: 50035, CellsExplored: 5557, Deletions: 10445}
+
+	rng := rand.New(rand.NewSource(5))
+	net := randomNetwork(t, rng, 50, 3)
+	region, err := geom.NewBox([]float64{0.1, 0.1}, []float64{0.3, 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := randomQuery(net, rng, 3, 1, 40, region, 3)
+	if q == nil {
+		t.Fatal("no feasible query on the golden instance")
+	}
+	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+		qq := *q
+		qq.Parallelism = par
+		res, err := GlobalSearch(net, &qq)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if got := resultDigest(res); got != wantDigest {
+			t.Errorf("parallelism %d: digest %#x, want %#x (%d cells)", par, got, uint64(wantDigest), len(res.Cells))
+		}
+		if res.Stats != wantStats {
+			t.Errorf("parallelism %d: stats\n got %+v\nwant %+v", par, res.Stats, wantStats)
 		}
 	}
 }

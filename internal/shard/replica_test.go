@@ -104,12 +104,23 @@ func holdsDataset(b Backend, name string) bool {
 	return err == nil && contains(ds, name)
 }
 
-// TestFailoverZeroDowntime is the acceptance bar for replication: with
-// replication 2, a looping SDK client — retries disabled, so nothing papers
-// over a gap — observes zero non-2xx answers while one backend is killed
-// mid-load; the recovered backend is later re-synced and rejoins the replica
-// set.
-func TestFailoverZeroDowntime(t *testing.T) {
+// replicatedPair is a router with replication 2 over two real leaf
+// macservers, holding one dataset "durable" whose follower copy has landed.
+// No prober runs.
+type replicatedPair struct {
+	rt                *Router
+	leaves            []*leafProc
+	backends          []Backend
+	ts                *httptest.Server
+	sdk               *client.Client
+	primary, follower int
+	q                 []int32
+	k                 int
+	t                 float64
+}
+
+func newReplicatedPair(t *testing.T) *replicatedPair {
+	t.Helper()
 	net_, q, k, tt := testNetwork(t)
 	if net_.Oracle == nil {
 		net_.Oracle = road.BuildGTree(net_.Road, 0)
@@ -132,18 +143,11 @@ func TestFailoverZeroDowntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.SetReplication(2)
-	// The prober is deliberately NOT running yet: during the outage below
-	// every read must survive via in-request failover alone. (With a fast
-	// prober the dead primary can be rotated out before any observer ever
-	// touches it, which would leave the failover path untested.) It starts
-	// in the recovery phase, where rotation and re-sync are its job.
 	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-	ctx := context.Background()
+	t.Cleanup(ts.Close)
 	sdk := client.New(ts.URL, client.WithRetries(0))
-	region := &client.RegionSpec{Lo: []float64{0.2, 0.2}, Hi: []float64{0.25, 0.25}}
 
-	info, err := sdk.CreateDataset(ctx, "durable", &client.DatasetSpec{})
+	info, err := sdk.CreateDataset(context.Background(), "durable", &client.DatasetSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +156,31 @@ func TestFailoverZeroDowntime(t *testing.T) {
 	}
 	primary := rt.OwnerIndex("durable")
 	follower := 1 - primary
-	// Redundancy arrives asynchronously; the kill below only makes sense
-	// once the follower actually holds a copy.
+	// Redundancy arrives asynchronously; a kill only makes sense once the
+	// follower actually holds a copy.
 	waitFor(t, 30*time.Second, "follower sync", func() bool {
 		return holdsDataset(backends[follower], "durable")
 	})
+	return &replicatedPair{rt: rt, leaves: leaves, backends: backends, ts: ts, sdk: sdk,
+		primary: primary, follower: follower, q: q, k: k, t: tt}
+}
+
+// TestFailoverZeroDowntime is the acceptance bar for replication: with
+// replication 2, a looping SDK client — retries disabled, so nothing papers
+// over a gap — observes zero non-2xx answers while one backend is killed
+// mid-load; the recovered backend is later re-synced and rejoins the replica
+// set.
+func TestFailoverZeroDowntime(t *testing.T) {
+	// The prober is deliberately NOT running yet: during the outage below
+	// every read must survive via in-request failover alone. (With a fast
+	// prober the dead primary can be rotated out before any observer ever
+	// touches it, which would leave the failover path untested.) It starts
+	// in the recovery phase, where rotation and re-sync are its job.
+	p := newReplicatedPair(t)
+	rt, leaves, backends, ts, sdk := p.rt, p.leaves, p.backends, p.ts, p.sdk
+	q, k, tt, primary := p.q, p.k, p.t, p.primary
+	ctx := context.Background()
+	region := &client.RegionSpec{Lo: []float64{0.2, 0.2}, Hi: []float64{0.25, 0.25}}
 
 	// Looping observers on both read paths: every answer must be 2xx.
 	stop := make(chan struct{})
@@ -264,6 +288,40 @@ func TestFailoverZeroDowntime(t *testing.T) {
 	}
 	if len(st.Replicas["durable"]) != 2 {
 		t.Fatalf("stats replicas = %v, want 2 members", st.Replicas["durable"])
+	}
+}
+
+// TestFailoverCountedWhenPrimaryMarkedDown: once the dead primary is marked
+// down — by a probe, or by an earlier read that is still finishing on the
+// follower — later reads go to the follower first. Those reads are still
+// served from a follower because the primary failed, so they count as
+// failovers and carry the X-Failed-Over header.
+func TestFailoverCountedWhenPrimaryMarkedDown(t *testing.T) {
+	p := newReplicatedPair(t)
+	p.leaves[p.primary].kill()
+	p.rt.markBackendDown(p.primary)
+	if first := p.rt.readCandidates("durable")[0]; first != p.follower {
+		t.Fatalf("read candidates lead with %d, want the follower %d", first, p.follower)
+	}
+
+	body, err := json.Marshal(client.SearchRequest{Q: p.q, K: p.k, T: p.t})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(p.ts.URL+"/v1/datasets/durable/ktcore", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("read with the primary down answered %d", resp.StatusCode)
+	}
+	if got, want := resp.Header.Get(client.HeaderFailedOver), p.backends[p.follower].Name(); got != want {
+		t.Fatalf("X-Failed-Over = %q, want %q", got, want)
+	}
+	if n := p.rt.failovers.Load(); n != 1 {
+		t.Fatalf("failovers = %d after one follower-served read, want 1", n)
 	}
 }
 

@@ -310,8 +310,8 @@ type Router struct {
 	// when it was last probed and how many consecutive probes have failed.
 	probes []probeState
 
-	// failovers counts reads answered by a non-primary replica after the
-	// primary failed mid-request; drainTimeouts counts moves whose source
+	// failovers counts reads answered by a non-primary replica because the
+	// primary failed, in this request or an earlier one that marked it down; drainTimeouts counts moves whose source
 	// drain hit the fail-safe; replicaSyncs counts replicate jobs submitted
 	// to copy datasets onto followers. All surface in /v1/stats totals and
 	// as router-level /metrics counters.
@@ -1080,9 +1080,10 @@ func (rt *Router) routeLegacy(w http.ResponseWriter, r *http.Request) {
 // semantic "does not exist".
 func (rt *Router) routeRead(w http.ResponseWriter, r *http.Request, name string, body []byte) {
 	cands := rt.readCandidates(name)
+	primary := rt.OwnerIndex(name)
 	var firstFailure *recorder
 	var first404 *recorder
-	for ai, idx := range cands {
+	for _, idx := range cands {
 		req := r.Clone(r.Context())
 		if body != nil {
 			req.Body = io.NopCloser(bytes.NewReader(body))
@@ -1110,7 +1111,10 @@ func (rt *Router) routeRead(w http.ResponseWriter, r *http.Request, name string,
 			}
 			continue
 		}
-		if ai > 0 {
+		if idx != primary {
+			// A follower answered: the primary failed this attempt, or an
+			// earlier read or probe marked it down and the candidates now
+			// lead with the follower. Both are failovers.
 			rec.header.Set(client.HeaderFailedOver, rt.backends[idx].Name())
 			rt.failovers.Add(1)
 		}

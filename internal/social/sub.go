@@ -7,11 +7,25 @@ package social
 // tentatively and rolled back, which implements Corollary 1 (if deleting the
 // smallest-score vertex would destroy the k-ĉore containing Q, the current
 // community is the non-contained MAC and the deletion must not happen).
+// Once a successful deletion has left the community connected, the next
+// deletion checks connectivity only around the vertices it removes.
 type Sub struct {
 	g     *Graph
 	alive []bool
 	deg   []int32
 	size  int
+	// connected records that the alive vertices are known to form one
+	// connected component, which lets TryDeleteCascade check connectivity
+	// locally around the deleted vertices.
+	connected bool
+
+	// Search scratch, owned by this Sub and never copied: mark[v] == epoch
+	// means v was visited by the current search; queue and stack are the
+	// reusable work lists.
+	mark  []uint32
+	epoch uint32
+	queue []int32
+	stack []int32
 }
 
 // NewSub builds the induced subgraph over the given vertex list.
@@ -24,10 +38,11 @@ func NewSub(g *Graph, vertices []int32) *Sub {
 // Clone returns an independent copy of the subgraph state.
 func (s *Sub) Clone() *Sub {
 	return &Sub{
-		g:     s.g,
-		alive: append([]bool(nil), s.alive...),
-		deg:   append([]int32(nil), s.deg...),
-		size:  s.size,
+		g:         s.g,
+		alive:     append([]bool(nil), s.alive...),
+		deg:       append([]int32(nil), s.deg...),
+		size:      s.size,
+		connected: s.connected,
 	}
 }
 
@@ -38,6 +53,7 @@ func (s *Sub) CopyFrom(o *Sub) {
 	s.alive = append(s.alive[:0], o.alive...)
 	s.deg = append(s.deg[:0], o.deg...)
 	s.size = o.size
+	s.connected = o.connected
 }
 
 // ResetTo re-initializes s as the induced subgraph of g over vertices,
@@ -61,6 +77,7 @@ func (s *Sub) ResetTo(g *Graph, vertices []int32) {
 	}
 	s.g = g
 	s.size = 0
+	s.connected = false
 	for _, v := range vertices {
 		if !s.alive[v] {
 			s.alive[v] = true
@@ -137,6 +154,7 @@ func (s *Sub) Remove(v int32) {
 	s.alive[v] = false
 	s.size--
 	s.deg[v] = 0
+	s.connected = false
 	for _, w := range s.g.adj[v] {
 		if s.alive[w] {
 			s.deg[w]--
@@ -186,17 +204,13 @@ func (s *Sub) TryDeleteCascade(u int32, k int, q []int32) (batch []int32, ok boo
 	if !s.alive[u] {
 		return nil, true
 	}
-	isQ := make(map[int32]bool, len(q))
-	for _, qv := range q {
-		isQ[qv] = true
-	}
-	if isQ[u] {
+	if containsVertex(q, u) {
 		return nil, false
 	}
 	var log []int32
 	// Cascade: stack-based DFS deletion of degree violations.
 	s.remove(u, &log)
-	stack := make([]int32, 0, 8)
+	stack := s.stack[:0]
 	for _, w := range s.g.adj[u] {
 		if s.alive[w] && int(s.deg[w]) < k {
 			stack = append(stack, w)
@@ -208,7 +222,8 @@ func (s *Sub) TryDeleteCascade(u int32, k int, q []int32) (batch []int32, ok boo
 		if !s.alive[v] || int(s.deg[v]) >= k {
 			continue
 		}
-		if isQ[v] {
+		if containsVertex(q, v) {
+			s.stack = stack
 			s.restore(log)
 			return nil, false
 		}
@@ -219,44 +234,132 @@ func (s *Sub) TryDeleteCascade(u int32, k int, q []int32) (batch []int32, ok boo
 			}
 		}
 	}
+	s.stack = stack
+	if len(q) == 0 {
+		s.connected = false
+		return log, true
+	}
 	// Connectivity: keep only the component containing q[0]; other
 	// components cannot host a community containing Q, and dropping them
 	// cannot reduce any kept degree (no edges across components).
-	if len(q) > 0 {
-		if !s.alive[q[0]] {
+	for _, qv := range q {
+		if !s.alive[qv] {
 			s.restore(log)
 			return nil, false
 		}
-		reach := make([]bool, s.g.N())
-		queue := []int32{q[0]}
-		reach[q[0]] = true
-		count := 1
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range s.g.adj[v] {
-				if s.alive[w] && !reach[w] {
-					reach[w] = true
-					count++
-					queue = append(queue, w)
-				}
-			}
+	}
+	if !s.connected || !s.stillConnected(log) {
+		if !s.keepComponentOf(q, &log) {
+			s.restore(log)
+			return nil, false
 		}
-		for _, qv := range q {
-			if !reach[qv] {
-				s.restore(log)
-				return nil, false
-			}
-		}
-		if count < s.size {
-			for v, a := range s.alive {
-				if a && !reach[v] {
-					s.remove(int32(v), &log)
-				}
+	}
+	s.connected = true
+	return log, true
+}
+
+// stillConnected reports whether the alive set, connected before the
+// vertices of removed were deleted, is still connected. Every component the
+// deletion leaves holds an alive neighbour of a removed vertex (a boundary
+// vertex), so one search from a boundary vertex that reaches every other
+// boundary vertex proves connectivity; it stops as soon as it has.
+func (s *Sub) stillConnected(removed []int32) bool {
+	boundary := s.nextEpoch()
+	queue := s.queue[:0]
+	for _, v := range removed {
+		for _, w := range s.g.adj[v] {
+			if s.alive[w] && s.mark[w] != boundary {
+				s.mark[w] = boundary
+				queue = append(queue, w)
 			}
 		}
 	}
-	return log, true
+	remaining := len(queue) - 1 // boundary vertices not yet reached
+	if remaining <= 0 {
+		s.queue = queue[:0]
+		return true
+	}
+	seen := s.nextEpoch()
+	queue = append(queue[:0], queue[0])
+	s.mark[queue[0]] = seen
+	for head := 0; head < len(queue); head++ {
+		for _, w := range s.g.adj[queue[head]] {
+			if !s.alive[w] || s.mark[w] == seen {
+				continue
+			}
+			if s.mark[w] == boundary {
+				if remaining--; remaining == 0 {
+					s.queue = queue[:0]
+					return true
+				}
+			}
+			s.mark[w] = seen
+			queue = append(queue, w)
+		}
+	}
+	s.queue = queue[:0]
+	return false
+}
+
+// keepComponentOf searches the whole component of q[0]. It reports false if
+// a query vertex lies outside it; otherwise it deletes every other
+// component in ascending vertex order, recording the deletions in log.
+func (s *Sub) keepComponentOf(q []int32, log *[]int32) bool {
+	reach, count := s.searchFrom(q[0])
+	for _, qv := range q {
+		if s.mark[qv] != reach {
+			return false
+		}
+	}
+	if count < s.size {
+		for v, a := range s.alive {
+			if a && s.mark[v] != reach {
+				s.remove(int32(v), log)
+			}
+		}
+	}
+	return true
+}
+
+// searchFrom stamps the alive component of v with a fresh epoch and returns
+// the stamp and the component's size.
+func (s *Sub) searchFrom(v int32) (reach uint32, count int) {
+	reach = s.nextEpoch()
+	queue := append(s.queue[:0], v)
+	s.mark[v] = reach
+	for head := 0; head < len(queue); head++ {
+		for _, w := range s.g.adj[queue[head]] {
+			if s.alive[w] && s.mark[w] != reach {
+				s.mark[w] = reach
+				queue = append(queue, w)
+			}
+		}
+	}
+	s.queue = queue[:0]
+	return reach, len(queue)
+}
+
+// nextEpoch starts a new search over the mark array and returns its stamp.
+func (s *Sub) nextEpoch() uint32 {
+	if len(s.mark) < s.g.N() {
+		s.mark = make([]uint32, s.g.N())
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could collide
+		clear(s.mark)
+		s.epoch = 1
+	}
+	return s.epoch
+}
+
+func containsVertex(q []int32, v int32) bool {
+	for _, x := range q {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 // IsConnectedKCore verifies that the alive vertices form a connected k-core
@@ -287,20 +390,6 @@ func (s *Sub) IsConnectedKCore(k int, q []int32) bool {
 	if seed < 0 {
 		return false
 	}
-	reach := make([]bool, s.g.N())
-	queue := []int32{seed}
-	reach[seed] = true
-	count := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range s.g.adj[v] {
-			if s.alive[w] && !reach[w] {
-				reach[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-	}
+	_, count := s.searchFrom(seed)
 	return count == s.size
 }
