@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 
+	"roadsocial/internal/durable"
 	"roadsocial/internal/mac"
 	"roadsocial/internal/road"
 	"roadsocial/internal/social"
@@ -196,9 +197,9 @@ func decodeSnapshotV1(payload []byte) (*mac.Network, error) {
 	return net, net.Validate()
 }
 
-// WriteSnapshotFile writes the snapshot atomically: a temp file in the
-// target directory, renamed into place on success, so a crashed writer
-// never leaves a half-written snapshot under the real name.
+// WriteSnapshotFile writes the snapshot atomically (durable.WriteFile): a
+// crashed writer never leaves a half-written snapshot under the real name,
+// and a returned nil means the file survives a crash.
 func WriteSnapshotFile(path string, net *mac.Network) error {
 	return WriteSnapshotFileVersion(path, net, 0)
 }
@@ -206,19 +207,9 @@ func WriteSnapshotFile(path string, net *mac.Network) error {
 // WriteSnapshotFileVersion is WriteSnapshotFile with a version stamp (see
 // WriteSnapshotVersion).
 func WriteSnapshotFileVersion(path string, net *mac.Network, version uint64) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteSnapshotVersion(tmp, net, version); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.WriteFile(path, func(w io.Writer) error {
+		return WriteSnapshotVersion(w, net, version)
+	})
 }
 
 // ReadSnapshotFile loads a snapshot from disk. RSNAPv2 files are
@@ -266,15 +257,6 @@ func ReadSnapshotFileVersion(path string) (*mac.Network, uint64, error) {
 	default:
 		return nil, 0, fmt.Errorf("dataset: not a snapshot (or unsupported version): magic %q", magic[:])
 	}
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i+1]
-		}
-	}
-	return "."
 }
 
 // encodeSocial writes the social graph: header (n, d, m), the undirected

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 	"roadsocial/internal/mac"
 	"roadsocial/internal/promtest"
 	"roadsocial/internal/road"
@@ -469,14 +470,18 @@ func TestJobJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The replicate job is journaled before it is enqueued, so its start
-	// line is on disk the moment the create answers.
+	// record is on disk the moment the create answers.
 	data, err := os.ReadFile(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs, _, err := durable.Decode(data, jobJournalMagic)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("journal holds %d record(s), err %v (%q)", len(recs), err, data)
+	}
 	var started journalEntry
-	if err := json.Unmarshal([]byte(strings.SplitN(strings.TrimSpace(string(data)), "\n", 2)[0]), &started); err != nil {
-		t.Fatalf("journal line: %v (%q)", err, data)
+	if err := json.Unmarshal(recs[0], &started); err != nil {
+		t.Fatalf("journal record: %v (%q)", err, recs[0])
 	}
 	if started.Kind != client.JobKindReplicate || started.Dataset != "resumable" || started.State != journalStarted {
 		t.Fatalf("journaled entry = %+v", started)
@@ -538,7 +543,7 @@ func TestJobJournalResume(t *testing.T) {
 		Source: locals[src].Name(), Target: locals[tgt].Name(),
 		Replicas: []string{locals[tgt].Name()}, State: journalStarted, At: time.Now().UTC(),
 	})
-	if err := os.WriteFile(journalPath, append(moveLine, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(journalPath, durable.AppendFrame([]byte(jobJournalMagic), moveLine), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rt4, err := NewRouter([]Backend{locals[0], locals[1]}, 0)

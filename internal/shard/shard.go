@@ -60,7 +60,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,6 +68,7 @@ import (
 	"time"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 	"roadsocial/internal/service"
 )
 
@@ -323,7 +323,7 @@ type Router struct {
 	// alongside the current stale set in Stats.StaleReplicas.
 	staleMarked atomic.Int64
 
-	journal *jobJournal // nil until EnableJobJournal
+	journal *durable.Log // job journal; nil until EnableJobJournal
 
 	mu sync.RWMutex
 	// assign maps dataset -> ordered replica set (primary first). A dataset
@@ -895,8 +895,8 @@ func containsInt(xs []int, x int) bool {
 }
 
 // saveAssignmentsLocked mirrors the table to disk when persistence is on.
-// Caller holds rt.mu. Write failures are swallowed: routing must not start
-// failing because a disk did, and the next mutation retries.
+// Caller holds rt.mu. Write failures are logged, not returned: routing must
+// not start failing because a disk did, and the next mutation retries.
 func (rt *Router) saveAssignmentsLocked() {
 	if rt.persistPath == "" {
 		return
@@ -909,19 +909,15 @@ func (rt *Router) saveAssignmentsLocked() {
 		}
 		af.Replicas[ds] = names
 	}
-	data, err := json.MarshalIndent(af, "", "  ")
+	err := durable.WriteFile(rt.persistPath, func(w io.Writer) error {
+		data, err := json.MarshalIndent(af, "", "  ")
+		if err == nil {
+			_, err = w.Write(data)
+		}
+		return err
+	})
 	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(rt.persistPath), ".assignments-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err == nil && tmp.Close() == nil {
-		_ = os.Rename(tmp.Name(), rt.persistPath)
-	} else {
-		tmp.Close()
-		_ = os.Remove(tmp.Name())
+		slog.Warn("persist assignments failed", "path", rt.persistPath, "err", err)
 	}
 }
 

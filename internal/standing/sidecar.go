@@ -1,21 +1,16 @@
 package standing
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 )
 
-// Sidecar persists one dataset's standing-query registrations as a JSON-lines
-// file next to the mutation journal, following the journal's open discipline:
-// read everything, fold records into the live set, drop the torn tail, rewrite
-// the compacted file via temp+fsync+rename+dirsync, reopen for append. Three
-// record kinds:
+// Sidecar persists one dataset's standing-query registrations next to the
+// mutation journal, as JSON payloads inside a durable.Log (which owns the
+// framing, fsync, torn-tail and compaction guarantees). Three record kinds:
 //
 //	{"op":"put","query":{...}}                     register (or restate) a query
 //	{"op":"state","id":...,"version":...,"members":[...],"event_id":...}  last evaluated result
@@ -30,10 +25,11 @@ import (
 // subscriber's Last-Event-ID cursor was built on instead of restarting at 1
 // (which the SDK would silently drop as already-seen).
 type Sidecar struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	log *durable.Log
 }
+
+// sidecarMagic heads every sidecar file.
+const sidecarMagic = "RSQRYv1\n"
 
 type sidecarRec struct {
 	Op      string                `json:"op"`
@@ -64,70 +60,36 @@ type Restored struct {
 // folded in, in registration order. The on-disk file is compacted to one put
 // record per live query.
 func OpenSidecar(path string) (*Sidecar, []Restored, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("standing: read sidecar: %w", err)
+	log, payloads, err := durable.Open(path, sidecarMagic)
+	if err != nil {
+		return nil, nil, fmt.Errorf("standing: %w", err)
 	}
-	live := foldRecords(raw)
-
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("standing: sidecar dir: %w", err)
-	}
-	var buf bytes.Buffer
-	for _, r := range live {
-		qq := r.Query
-		line, err := json.Marshal(sidecarRec{Op: "put", Query: &qq, EventID: r.LastEventID})
-		if err != nil {
-			return nil, nil, fmt.Errorf("standing: encode sidecar: %w", err)
+	live := foldRecords(payloads)
+	puts := make([][]byte, len(live))
+	for i, r := range live {
+		if puts[i], err = json.Marshal(sidecarRec{Op: "put", Query: &r.Query, EventID: r.LastEventID}); err != nil {
+			break
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
 	}
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		err = log.Compact(puts)
+	}
 	if err != nil {
+		log.Close()
 		return nil, nil, fmt.Errorf("standing: compact sidecar: %w", err)
 	}
-	if _, err := tf.Write(buf.Bytes()); err != nil {
-		tf.Close()
-		return nil, nil, fmt.Errorf("standing: compact sidecar: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return nil, nil, fmt.Errorf("standing: sync compacted sidecar: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return nil, nil, fmt.Errorf("standing: close compacted sidecar: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, nil, fmt.Errorf("standing: install sidecar: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return nil, nil, fmt.Errorf("standing: sync sidecar dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("standing: open sidecar: %w", err)
-	}
-	return &Sidecar{f: f, path: path}, live, nil
+	return &Sidecar{log: log}, live, nil
 }
 
-// foldRecords replays the JSON lines into the live registration set,
-// stopping at the first torn or corrupt line (crash tail). Event counters
-// only ratchet up: a stray late record can never rewind the seed below an ID
-// a subscriber already acked.
-func foldRecords(raw []byte) []Restored {
+// foldRecords replays the records into the live registration set, stopping
+// at the first undecodable one. Event counters only ratchet up: a stray late
+// record can never rewind the seed below an ID a subscriber already acked.
+func foldRecords(payloads [][]byte) []Restored {
 	byID := make(map[string]*Restored)
 	var order []string
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			break // torn tail: the last append never finished
-		}
-		line := raw[:nl]
-		raw = raw[nl+1:]
+	for _, p := range payloads {
 		var rec sidecarRec
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := json.Unmarshal(p, &rec); err != nil {
 			break
 		}
 		switch rec.Op {
@@ -164,34 +126,12 @@ func foldRecords(raw []byte) []Restored {
 	return out
 }
 
-// syncDir fsyncs a directory so a just-renamed entry in it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 func (s *Sidecar) append(rec sidecarRec) error {
-	line, err := json.Marshal(rec)
+	p, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("standing: encode sidecar record: %w", err)
 	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("standing: sidecar %s is closed", s.path)
-	}
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("standing: append sidecar: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("standing: fsync sidecar: %w", err)
-	}
-	return nil
+	return s.log.Append(p)
 }
 
 // AppendPut journals a registration.
@@ -211,25 +151,7 @@ func (s *Sidecar) AppendDelete(id string) error {
 }
 
 // Close closes the sidecar file. Further appends fail.
-func (s *Sidecar) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
+func (s *Sidecar) Close() error { return s.log.Close() }
 
 // Remove closes the sidecar and deletes it from disk (dataset removal).
-func (s *Sidecar) Remove() error {
-	err := s.Close()
-	if rmErr := os.Remove(s.path); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
-		err = rmErr
-	}
-	return err
-}
-
-// Path returns the on-disk path of the sidecar.
-func (s *Sidecar) Path() string { return s.path }
+func (s *Sidecar) Remove() error { return s.log.Remove() }
